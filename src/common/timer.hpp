@@ -2,8 +2,6 @@
 #pragma once
 
 #include <chrono>
-#include <cstdio>
-#include <string>
 
 namespace dart::common {
 
@@ -23,20 +21,6 @@ class Stopwatch {
  private:
   using clock = std::chrono::steady_clock;
   clock::time_point start_;
-};
-
-/// Prints "<label>: <ms> ms" to stderr when the scope ends.
-class ScopedTimer {
- public:
-  explicit ScopedTimer(std::string label) : label_(std::move(label)) {}
-  ~ScopedTimer() { std::fprintf(stderr, "[time] %s: %.1f ms\n", label_.c_str(), watch_.elapsed_ms()); }
-
-  ScopedTimer(const ScopedTimer&) = delete;
-  ScopedTimer& operator=(const ScopedTimer&) = delete;
-
- private:
-  std::string label_;
-  Stopwatch watch_;
 };
 
 }  // namespace dart::common

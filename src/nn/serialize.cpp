@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <fstream>
 #include <stdexcept>
+#include <string>
 
 namespace dart::nn {
 
@@ -49,7 +50,13 @@ void load_params(const std::vector<Param*>& params, const std::string& path) {
                              std::to_string(params.size()) + ")");
   }
   for (Param* p : params) {
+    // Length fields are checked against the model before anything is sized
+    // from them: a corrupted field must fail here, not as a huge allocation.
     const std::uint64_t name_len = read_u64(in);
+    if (!in || name_len != p->name.size()) {
+      throw std::runtime_error("load_params: bad name length for '" + p->name + "' (checkpoint " +
+                               std::to_string(name_len) + ")");
+    }
     std::string name(name_len, '\0');
     in.read(name.data(), static_cast<std::streamsize>(name_len));
     if (name != p->name) {
@@ -57,6 +64,10 @@ void load_params(const std::vector<Param*>& params, const std::string& path) {
                                name + "'");
     }
     const std::uint64_t ndim = read_u64(in);
+    if (!in || ndim != p->value.ndim()) {
+      throw std::runtime_error("load_params: rank mismatch for '" + name + "' (checkpoint " +
+                               std::to_string(ndim) + ")");
+    }
     std::vector<std::size_t> shape(ndim);
     for (auto& d : shape) d = read_u64(in);
     if (shape != p->value.shape()) {

@@ -4,7 +4,8 @@
 // Two implementations:
 //  * ExactEncoder — brute-force argmin over K prototypes (O(K·V)), evaluated
 //    in the dot-product form argmin_k (||P_k||²/2 − x·P_k) with the prototype
-//    half-norms precomputed at construction.
+//    half-norms precomputed at construction, and searched kLanes prototypes
+//    at a time over a transposed copy of the prototypes.
 //  * HashTreeEncoder — balanced binary decision tree over the prototypes
 //    with one scalar comparison per level (O(log K)), standing in for the
 //    locality-sensitive hashing of MADDNESS [24] that the paper's latency
@@ -36,7 +37,7 @@ class Encoder {
   /// slicing). Writes codes to `codes_out[0], codes_out[code_stride], ...`.
   /// Must produce exactly the same codes as per-row `encode`.
   virtual void encode_batch(const float* rows, std::size_t row_stride, std::size_t n,
-                            std::uint32_t* codes_out, std::size_t code_stride = 1) const;
+                            std::uint32_t* codes_out, std::size_t code_stride = 1) const = 0;
 
   virtual std::size_t num_prototypes() const = 0;
   virtual std::size_t vec_dim() const = 0;
@@ -46,13 +47,24 @@ class Encoder {
 };
 
 /// Brute-force nearest prototype.
+///
+/// The search runs in lanes: prototypes are kept transposed (`[V][Kp]`, Kp =
+/// K rounded up to kLanes) so one block of kLanes prototype dot products
+/// accumulates at once, each lane doing the same ascending-j `acc += x * p`
+/// as a scalar loop would. Blocks are then scanned with strict `<` in
+/// ascending prototype order, so the code is exactly the scalar argmin:
+/// ties go to the lowest index, and a row whose every score is NaN or not
+/// below FLT_MAX encodes to 0.
 class ExactEncoder final : public Encoder {
  public:
+  /// Prototypes scored together in one block.
+  static constexpr std::size_t kLanes = 16;
+
   explicit ExactEncoder(nn::Tensor prototypes);
 
-  // encode_batch: inherited per-row loop — the O(K·V) argmin dwarfs the
-  // virtual call, so a dedicated batch loop buys nothing here.
   std::uint32_t encode(const float* row) const override;
+  void encode_batch(const float* rows, std::size_t row_stride, std::size_t n,
+                    std::uint32_t* codes_out, std::size_t code_stride) const override;
   std::size_t num_prototypes() const override { return prototypes_.dim(0); }
   std::size_t vec_dim() const override { return prototypes_.dim(1); }
   std::size_t comparisons_per_encode() const override {
@@ -63,8 +75,12 @@ class ExactEncoder final : public Encoder {
 
  private:
   nn::Tensor prototypes_;
+  std::size_t kp_ = 0;  ///< K rounded up to a multiple of kLanes
+  // transposed_[j * kp_ + k] = P_k[j]; the padding prototypes are zero.
+  std::vector<float> transposed_;
   // half_norms_[k] = ||P_k||²/2, so argmin_k ||x−P_k||² = argmin_k
   // (half_norms_[k] − x·P_k): the ||x||² term is row-constant and drops out.
+  // +inf in the padding, so a padding lane never scores below FLT_MAX.
   std::vector<float> half_norms_;
 };
 

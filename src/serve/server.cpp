@@ -7,7 +7,7 @@
 #include "core/artifact_cache.hpp"
 #include "core/configs.hpp"
 #include "io/artifact.hpp"
-#include "serve/fault.hpp"
+#include "common/fault.hpp"
 
 namespace dart::serve {
 
@@ -135,7 +135,7 @@ std::uint64_t PrefetchServer::swap_artifact(const std::string& path) {
       // observe the new epoch. The quant mode is applied inside the load,
       // so shards only ever adopt fully-quantized models.
       std::vector<std::uint8_t> bytes = io::read_artifact_file(path);
-      fault_injector().mutate_artifact(bytes);
+      common::fault_injector().mutate_artifact(bytes);
       predictor =
           core::load_dart_artifact_bytes(std::move(bytes), path, nullptr, config_.quant).predictor;
     } catch (const io::ArtifactError&) {

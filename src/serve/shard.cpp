@@ -4,7 +4,7 @@
 #include <type_traits>
 
 #include "common/thread_pool.hpp"
-#include "serve/fault.hpp"
+#include "common/fault.hpp"
 
 namespace dart::serve {
 
@@ -77,7 +77,7 @@ bool ShardEngine::submit(const Request& request) {
     stats_.admission_rejected.fetch_add(1, std::memory_order_relaxed);
     return false;
   }
-  if (fault_injector().reject_submit(index_)) return false;
+  if (common::fault_injector().reject_submit(index_)) return false;
   if (!ingress_.try_push(request)) return false;
   // Dekker handshake with park(): the push above is the "work" store, the
   // fence orders it against the parked_ load so either we see the parked
@@ -86,7 +86,7 @@ bool ShardEngine::submit(const Request& request) {
   if (parked_.load(std::memory_order_relaxed)) {
     // drop-wake fault: suppress the notify. The 200 us park timeout is the
     // designed backstop — the request is late, never lost.
-    if (!fault_injector().drop_wake()) {
+    if (!common::fault_injector().drop_wake()) {
       std::lock_guard<std::mutex> lock(park_mu_);
       park_cv_.notify_one();
     }
@@ -262,7 +262,7 @@ void ShardEngine::run() {
 
     // Fault hooks fire where real pathologies bite: after batch assembly,
     // before the deadline sweep — a slow or stalled shard ages its queue.
-    const BatchFault fault = fault_injector().on_batch(index_);
+    const common::BatchFault fault = common::fault_injector().on_batch(index_);
     if (fault.delay_us != 0) {
       std::this_thread::sleep_for(std::chrono::microseconds(fault.delay_us));
     }

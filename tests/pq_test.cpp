@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <string>
+#include <vector>
 
 #include "pq/encoder.hpp"
 #include "pq/kmeans.hpp"
@@ -77,6 +80,132 @@ TEST(ExactEncoder, PicksNearestPrototype) {
   float q2[2] = {7.9f, 0.0f};
   EXPECT_EQ(enc.encode(q1), 0u);
   EXPECT_EQ(enc.encode(q2), 2u);
+}
+
+/// The scalar argmin the lane-blocked ExactEncoder must reproduce bit for
+/// bit: half-norms and dot products accumulated in ascending j, prototypes
+/// scanned in ascending k with strict `<` from FLT_MAX (ties to the lowest
+/// index; a row with no score below FLT_MAX encodes to 0).
+std::uint32_t scalar_argmin(const nn::Tensor& protos, const float* row) {
+  const std::size_t k = protos.dim(0), v = protos.dim(1);
+  // Stored first, as the encoder does, so `0.5f * norm - dot` cannot be
+  // contracted into one fused multiply-subtract.
+  std::vector<float> half_norms(k);
+  for (std::size_t c = 0; c < k; ++c) {
+    const float* p = protos.row(c);
+    float norm = 0.0f;
+    for (std::size_t j = 0; j < v; ++j) norm += p[j] * p[j];
+    half_norms[c] = 0.5f * norm;
+  }
+  std::uint32_t best = 0;
+  float best_d = std::numeric_limits<float>::max();
+  for (std::size_t c = 0; c < k; ++c) {
+    const float* p = protos.row(c);
+    float dot = 0.0f;
+    for (std::size_t j = 0; j < v; ++j) dot += row[j] * p[j];
+    const float d = half_norms[c] - dot;
+    if (d < best_d) {
+      best_d = d;
+      best = static_cast<std::uint32_t>(c);
+    }
+  }
+  return best;
+}
+
+/// Probe rows for one (K, V) shape: random rows, the prototypes themselves
+/// (exact ties when prototypes repeat), large-magnitude rows whose dot
+/// products overflow to ±inf, and all-zero and NaN rows.
+nn::Tensor equivalence_probes(const nn::Tensor& protos, std::uint64_t seed) {
+  const std::size_t k = protos.dim(0), v = protos.dim(1);
+  const std::size_t n_rand = 24, n_big = 8;
+  nn::Tensor probes({n_rand + k + n_big + 2, v});
+  nn::Tensor noise = nn::Tensor::randn({n_rand + n_big, v}, 1.0f, seed);
+  std::size_t r = 0;
+  for (std::size_t i = 0; i < n_rand; ++i, ++r) {
+    for (std::size_t j = 0; j < v; ++j) probes.at(r, j) = noise.at(i, j);
+  }
+  for (std::size_t c = 0; c < k; ++c, ++r) {
+    for (std::size_t j = 0; j < v; ++j) probes.at(r, j) = protos.at(c, j);
+  }
+  for (std::size_t i = 0; i < n_big; ++i, ++r) {
+    const float scale = i % 2 == 0 ? 1e19f : 3e37f;
+    for (std::size_t j = 0; j < v; ++j) probes.at(r, j) = scale * noise.at(n_rand + i, j);
+  }
+  ++r;  // all-zero row
+  for (std::size_t j = 0; j < v; ++j) probes.at(r, j) = std::numeric_limits<float>::quiet_NaN();
+  return probes;
+}
+
+/// Prototype sets for one (K, V) shape: random, with duplicates spread
+/// across lane blocks, and large-magnitude (half-norms overflow to +inf).
+std::vector<nn::Tensor> equivalence_prototypes(std::size_t k, std::size_t v, std::uint64_t seed) {
+  std::vector<nn::Tensor> sets;
+  sets.push_back(nn::Tensor::randn({k, v}, 1.0f, seed));
+  nn::Tensor dup = nn::Tensor::randn({k, v}, 1.0f, seed + 1);
+  for (std::size_t c = 0; c < k; ++c) {
+    const std::size_t src = c % 5;  // 0..4 repeat every 5: ties across lanes and blocks
+    for (std::size_t j = 0; j < v; ++j) dup.at(c, j) = dup.at(src, j);
+  }
+  sets.push_back(std::move(dup));
+  nn::Tensor big = nn::Tensor::randn({k, v}, 1.0f, seed + 2);
+  for (std::size_t i = 0; i < big.numel(); ++i) big[i] *= (i % 3 == 0) ? 1e20f : 1.0f;
+  sets.push_back(std::move(big));
+  sets.push_back(nn::Tensor({k, v}));  // all-zero: every score ties
+  return sets;
+}
+
+TEST(ExactEncoder, LaneSearchMatchesScalarArgminBitExact) {
+  std::uint64_t seed = 100;
+  for (std::size_t k : {1, 3, 15, 16, 17, 128, 130}) {
+    for (std::size_t v : {1, 3, 16, 64}) {
+      for (const nn::Tensor& protos : equivalence_prototypes(k, v, seed += 3)) {
+        SCOPED_TRACE("K=" + std::to_string(k) + " V=" + std::to_string(v));
+        const ExactEncoder enc(protos);
+        const nn::Tensor probes = equivalence_probes(protos, ++seed);
+        const std::size_t n = probes.dim(0);
+        std::vector<std::uint32_t> want(n);
+        for (std::size_t i = 0; i < n; ++i) {
+          want[i] = scalar_argmin(protos, probes.row(i));
+          ASSERT_EQ(enc.encode(probes.row(i)), want[i]) << "row " << i;
+        }
+        // encode_batch over rows embedded in a wider matrix, codes strided;
+        // every batch length covers full and partial row blocks.
+        const std::size_t row_stride = v + 5, code_stride = 3;
+        std::vector<float> wide(n * row_stride, -7.0f);
+        for (std::size_t i = 0; i < n; ++i) {
+          std::copy(probes.row(i), probes.row(i) + v, wide.begin() + i * row_stride + 2);
+        }
+        for (std::size_t len : {std::size_t{1}, std::size_t{3}, std::size_t{5}, n}) {
+          std::vector<std::uint32_t> codes(len * code_stride, 0xDEADu);
+          enc.encode_batch(wide.data() + 2, row_stride, len, codes.data(), code_stride);
+          for (std::size_t i = 0; i < len; ++i) {
+            ASSERT_EQ(codes[i * code_stride], want[i]) << "batch " << len << " row " << i;
+            ASSERT_EQ(codes[i * code_stride + 1], 0xDEADu);
+            ASSERT_EQ(codes[i * code_stride + 2], 0xDEADu);
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(ExactEncoder, TiesGoToLowestIndex) {
+  // Prototypes 2, 9 and 23 (three different lane blocks at K=30) are equal
+  // to the probe; 2 must win.
+  nn::Tensor protos = nn::Tensor::randn({30, 4}, 1.0f, 12);
+  for (std::size_t c : {9, 23}) {
+    for (std::size_t j = 0; j < 4; ++j) protos.at(c, j) = protos.at(2, j);
+  }
+  ExactEncoder enc(protos);
+  EXPECT_EQ(enc.encode(protos.row(23)), 2u);
+  std::uint32_t codes[3];
+  const float rows[12] = {protos.at(9, 0), protos.at(9, 1), protos.at(9, 2), protos.at(9, 3),
+                          protos.at(2, 0), protos.at(2, 1), protos.at(2, 2), protos.at(2, 3),
+                          protos.at(23, 0), protos.at(23, 1), protos.at(23, 2), protos.at(23, 3)};
+  enc.encode_batch(rows, 4, 3, codes, 1);
+  EXPECT_EQ(codes[0], 2u);
+  EXPECT_EQ(codes[1], 2u);
+  EXPECT_EQ(codes[2], 2u);
 }
 
 class HashTreeSizes : public ::testing::TestWithParam<std::size_t> {};

@@ -2,7 +2,9 @@
 // paper's §VIII future-work feature).
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
+#include <string>
 
 #include "nn/ops.hpp"
 #include "nn/serialize.hpp"
@@ -61,6 +63,32 @@ TEST(Serialize, RejectsMissingAndCorruptFiles) {
     std::fclose(f);
   }
   EXPECT_THROW(nn::load_model(a, path), std::runtime_error);
+  std::remove(path.c_str());
+}
+
+/// Overwrites the u64 at byte `offset` of `path` with `value`.
+void patch_u64(const std::string& path, long offset, std::uint64_t value) {
+  FILE* f = std::fopen(path.c_str(), "r+b");
+  ASSERT_NE(f, nullptr);
+  ASSERT_EQ(std::fseek(f, offset, SEEK_SET), 0);
+  ASSERT_EQ(std::fwrite(&value, sizeof(value), 1, f), 1u);
+  std::fclose(f);
+}
+
+TEST(Serialize, RejectsCorruptedLengthFieldsBeforeAllocating) {
+  // Layout: u32 magic, u64 count, then per parameter u64 name_len, name,
+  // u64 ndim, ndim × u64 dims, payload. A 1 TiB length must be a typed
+  // error, not std::bad_alloc (or an abort under ASan).
+  const std::string path = "/tmp/dart_ckpt_badlen.bin";
+  nn::AddressPredictor a(tiny_arch(), 3);
+  const std::string& first = a.params().front()->name;
+  const long name_len_at = 4 + 8;
+  const long ndim_at = name_len_at + 8 + static_cast<long>(first.size());
+  for (long offset : {name_len_at, ndim_at}) {
+    ASSERT_TRUE(nn::save_model(a, path));
+    patch_u64(path, offset, std::uint64_t{1} << 40);
+    EXPECT_THROW(nn::load_model(a, path), std::runtime_error) << "field at byte " << offset;
+  }
   std::remove(path.c_str());
 }
 

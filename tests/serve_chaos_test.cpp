@@ -26,7 +26,7 @@
 #include "io/artifact.hpp"
 #include "nn/tensor.hpp"
 #include "nn/transformer.hpp"
-#include "serve/fault.hpp"
+#include "common/fault.hpp"
 #include "serve/server.hpp"
 #include "tabular/tabular_predictor.hpp"
 #include "tabular/tabularizer.hpp"
@@ -104,7 +104,7 @@ ServeConfig chaos_config() {
 /// Disarms the global injector on scope exit so one failing test cannot
 /// poison the rest of the binary.
 struct FaultGuard {
-  ~FaultGuard() { fault_injector().clear(); }
+  ~FaultGuard() { common::fault_injector().clear(); }
 };
 
 /// Full per-request accounting of one single-threaded client load: every
@@ -214,10 +214,10 @@ std::string temp_artifact(const char* name,
 // ---------------------------------------------------------------- grammar
 
 TEST(FaultSpec, ParsesClausesAndParams) {
-  EXPECT_TRUE(parse_fault_specs("").empty());
-  EXPECT_TRUE(parse_fault_specs(" ; ;").empty());
+  EXPECT_TRUE(common::parse_fault_specs("").empty());
+  EXPECT_TRUE(common::parse_fault_specs(" ; ;").empty());
   const auto specs =
-      parse_fault_specs("slow-shard:shard=1,us=5000; drop-wake:p=0.5,seed=42 ;stall-shard:shard=0");
+      common::parse_fault_specs("slow-shard:shard=1,us=5000; drop-wake:p=0.5,seed=42 ;stall-shard:shard=0");
   ASSERT_EQ(specs.size(), 3u);
   EXPECT_EQ(specs[0].kind, "slow-shard");
   ASSERT_EQ(specs[0].params.size(), 2u);
@@ -229,14 +229,14 @@ TEST(FaultSpec, ParsesClausesAndParams) {
 }
 
 TEST(FaultSpec, RejectsMalformedGrammar) {
-  EXPECT_THROW(parse_fault_specs("slow-shard:shard"), std::invalid_argument);   // not key=value
-  EXPECT_THROW(parse_fault_specs("slow-shard:=3"), std::invalid_argument);      // empty key
-  EXPECT_THROW(parse_fault_specs(":p=1"), std::invalid_argument);               // empty kind
+  EXPECT_THROW(common::parse_fault_specs("slow-shard:shard"), std::invalid_argument);   // not key=value
+  EXPECT_THROW(common::parse_fault_specs("slow-shard:=3"), std::invalid_argument);      // empty key
+  EXPECT_THROW(common::parse_fault_specs(":p=1"), std::invalid_argument);               // empty kind
 }
 
 TEST(FaultInjector, RejectsBadSpecsAndKeepsThePreviousPlanArmed) {
   FaultGuard guard;
-  FaultInjector& inj = fault_injector();
+  common::FaultInjector& inj = common::fault_injector();
   inj.install("slow-shard:shard=0,us=1");
   EXPECT_TRUE(inj.armed());
   // Semantic errors: unknown kind, unknown/missing params, bad values.
@@ -265,7 +265,7 @@ TEST(ServeChaos, SlowShardDeadlineStormShedsExplicitlyAndRecoversBitExact) {
   PrefetchServer server(model, config);
 
   // Every batch takes 30 ms > the 10 ms deadline: queued requests expire.
-  fault_injector().install("slow-shard:shard=0,us=30000");
+  common::fault_injector().install("slow-shard:shard=0,us=30000");
   const LoadOutcome storm = drive(server, bank, {&ref}, 96, 32);
   EXPECT_EQ(storm.submitted, 96u);
   EXPECT_EQ(storm.completed + storm.shed, storm.submitted)
@@ -279,7 +279,7 @@ TEST(ServeChaos, SlowShardDeadlineStormShedsExplicitlyAndRecoversBitExact) {
   EXPECT_GT(stats.deadline_missed, 0u);
 
   // Faults cleared: the same server serves everything bit-exact again.
-  fault_injector().clear();
+  common::fault_injector().clear();
   const LoadOutcome calm = drive(server, bank, {&ref}, 64, 16);
   EXPECT_EQ(calm.completed, 64u);
   EXPECT_EQ(calm.shed, 0u);
@@ -305,7 +305,7 @@ TEST(ServeChaos, WatchdogRestartsAStalledShardWithoutLosingRequests) {
   // The first batch on shard 0 stops heartbeating; the watchdog must
   // declare the stall, abandon the thread (its held batch is shed), and
   // respawn a successor that drains the surviving ingress ring.
-  fault_injector().install("stall-shard:shard=0,after=0");
+  common::fault_injector().install("stall-shard:shard=0,after=0");
   const LoadOutcome stalled = drive(server, bank, {&ref}, 40, 40);
   EXPECT_EQ(stalled.submitted, 40u);
   EXPECT_EQ(stalled.completed + stalled.shed, 40u)
@@ -313,7 +313,7 @@ TEST(ServeChaos, WatchdogRestartsAStalledShardWithoutLosingRequests) {
   EXPECT_GT(stalled.shed, 0u) << "the abandoned thread's held batch is shed, not lost";
   EXPECT_EQ(stalled.id_mismatches, 0u);
   EXPECT_EQ(stalled.bad_probs, 0u);
-  EXPECT_EQ(fault_injector().counters().stalls, 1u);
+  EXPECT_EQ(common::fault_injector().counters().stalls, 1u);
 
   ASSERT_TRUE(wait_until([&] { return server.stats().watchdog_restarts >= 1; }, 2000))
       << "watchdog never restarted the stalled shard";
@@ -321,7 +321,7 @@ TEST(ServeChaos, WatchdogRestartsAStalledShardWithoutLosingRequests) {
       << "shard did not return to Healthy after the restart";
 
   // The stall clause is exactly-once; the successor serves bit-exact.
-  fault_injector().clear();
+  common::fault_injector().clear();
   const LoadOutcome after = drive(server, bank, {&ref}, 32, 16);
   EXPECT_EQ(after.completed, 32u);
   EXPECT_EQ(after.shed, 0u);
@@ -352,18 +352,18 @@ TEST(ServeChaos, CorruptArtifactSwapIsQuarantinedAndTheOldEpochKeepsServing) {
   // Every read of the artifact image is corrupted: all attempts (1 + 2
   // retries) must be rejected, the swap must throw, and the old epoch must
   // keep serving — an ArtifactError never takes the server down.
-  fault_injector().install("corrupt-artifact:offset=32,count=10");
+  common::fault_injector().install("corrupt-artifact:offset=32,count=10");
   EXPECT_THROW(server.swap_artifact(path_b), io::ArtifactError);
   EXPECT_EQ(server.epoch(), epoch_before) << "a rejected swap must publish nothing";
   EXPECT_EQ(server.stats().reload_rejected, 3u);  // initial attempt + 2 retries
-  EXPECT_GE(fault_injector().counters().artifacts_mutated, 3u);
+  EXPECT_GE(common::fault_injector().counters().artifacts_mutated, 3u);
   const LoadOutcome during = drive(server, bank, {&ref_a}, 32, 8);
   EXPECT_EQ(during.completed, 32u);
   EXPECT_EQ(during.bad_probs, 0u) << "old epoch must serve bit-exact through the quarantine";
 
   // Truncation that heals after one read: attempt 0 is rejected, the retry
   // reads a clean image and the swap goes through.
-  fault_injector().install("truncate-artifact:bytes=8,count=1");
+  common::fault_injector().install("truncate-artifact:bytes=8,count=1");
   const std::uint64_t epoch_after = server.swap_artifact(path_b);
   EXPECT_GT(epoch_after, epoch_before);
   EXPECT_EQ(server.stats().reload_rejected, 4u);  // 3 from the corrupt phase + 1 here
@@ -415,7 +415,7 @@ TEST(ServeChaos, DroppedParkWakesDelayButNeverLoseRequests) {
   // load is a paced trickle (one request at a time with idle gaps) so the
   // shard actually parks between requests; a continuous stream keeps it
   // hot and the wake path — the thing under test — never runs.
-  fault_injector().install("drop-wake:p=1.0,seed=7");
+  common::fault_injector().install("drop-wake:p=1.0,seed=7");
   auto session = server.connect(8);
   std::vector<float> probs(arch.out_dim);
   for (std::size_t i = 0; i < 64; ++i) {
@@ -430,7 +430,7 @@ TEST(ServeChaos, DroppedParkWakesDelayButNeverLoseRequests) {
     EXPECT_EQ(r.status, Response::Status::kOk);
     EXPECT_EQ(std::memcmp(probs.data(), ref[input].data(), arch.out_dim * sizeof(float)), 0);
   }
-  EXPECT_GT(fault_injector().counters().wakes_dropped, 0u)
+  EXPECT_GT(common::fault_injector().counters().wakes_dropped, 0u)
       << "the fault never fired; the test exercised nothing";
 }
 
@@ -447,14 +447,14 @@ TEST(ServeChaos, SaturatedTinyRingWithInjectedRejectionsLosesNothing) {
   config.queue_capacity = 2;  // constant genuine backpressure...
   PrefetchServer server(model, config);
   // ...plus a deterministic 25% injected rejection on top of it.
-  fault_injector().install("reject-submit:p=0.25,seed=9");
+  common::fault_injector().install("reject-submit:p=0.25,seed=9");
   const LoadOutcome o = drive(server, bank, {&ref}, 200, 4);
   EXPECT_EQ(o.submitted, 200u);
   EXPECT_EQ(o.completed, 200u) << "every accepted request completes despite saturation";
   EXPECT_GT(o.rejected, 0u);
   EXPECT_EQ(o.id_mismatches, 0u);
   EXPECT_EQ(o.bad_probs, 0u);
-  EXPECT_GT(fault_injector().counters().submits_rejected, 0u);
+  EXPECT_GT(common::fault_injector().counters().submits_rejected, 0u);
 }
 
 // ------------------------------------- degradation under overload
@@ -480,7 +480,7 @@ TEST(ServeChaos, SustainedOverloadDegradesToInt8TwinAndRecovers) {
   // 500 us per batch of <= 4 while a 64-deep client window floods the
   // queue: depth stays above the high watermark long enough to cross the
   // sustained-overload threshold and degrade the shard.
-  fault_injector().install("slow-shard:shard=0,us=500");
+  common::fault_injector().install("slow-shard:shard=0,us=500");
   const LoadOutcome o = drive(server, bank, {&ref_float, &ref_int8}, 300, 64);
   EXPECT_EQ(o.submitted, 300u);
   EXPECT_EQ(o.completed + o.shed, 300u);
@@ -494,7 +494,7 @@ TEST(ServeChaos, SustainedOverloadDegradesToInt8TwinAndRecovers) {
   EXPECT_GT(stats.admission_rejected, 0u);
 
   // Load gone, faults cleared: the drained shard must exit Degraded.
-  fault_injector().clear();
+  common::fault_injector().clear();
   ASSERT_TRUE(wait_until(
       [&] {
         const ServeStatsSummary s = server.stats();

@@ -3,7 +3,10 @@
 // per-output gather aggregation over the exposed [C][K][DO] table) must match
 // the optimized batch path bit-for-bit practically (<= 1e-6), across both the
 // exact and hash-tree encoders, for the linear kernel, the attention kernel,
-// and a seeded end-to-end TabularPredictor::forward.
+// and a seeded end-to-end TabularPredictor::forward. The per-row encodes call
+// the encoders' own `encode()`, which shares its search with `encode_batch()`;
+// the encoders themselves are checked against an independent scalar argmin
+// in tests/pq_test.cpp.
 #include <gtest/gtest.h>
 
 #include <cmath>
